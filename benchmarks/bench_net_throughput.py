@@ -26,8 +26,8 @@ from conftest import run_once
 
 from repro.core import unit_for_entries
 from repro.net import CamClient, CamServer
-from repro.service import CamService, ShardedCam
-from repro.service.workload import table09_probe_stream
+from repro.service import CamService, ShardedCam, drive
+from repro.service.workload import probe_requests, table09_probe_stream
 
 SHARDS = 2
 ENTRIES_PER_SHARD = 1024
@@ -47,7 +47,9 @@ def make_cam():
 
 
 async def measure(probes):
-    """Seed one server, then time both client modes against it."""
+    """Seed one server, then time both client modes against it: a
+    closed loop at concurrency 1 on the naive client, and one at
+    concurrency ``WINDOW`` on the pipelined client."""
     cam = make_cam()
     # A near-zero batch window keeps per-request latency honest for the
     # naive (one-at-a-time) leg; the pipelined leg coalesces anyway.
@@ -55,48 +57,38 @@ async def measure(probes):
     await service.start()
     server = CamServer(service, port=0)
     await server.start()
-    loop = asyncio.get_running_loop()
     try:
         host, port = server.address
         stored, _ = table09_probe_stream(cam.capacity, seed=3)
         async with CamClient(host, port) as seeder:
-            for start in range(0, len(stored), 64):
-                await seeder.insert(stored[start:start + 64])
+            await drive(seeder, [("insert", stored[start:start + 64])
+                                 for start in range(0, len(stored), 64)],
+                        concurrency=1)
+        legs = {}
+        for name, pipelined, count, window in (
+                ("naive", False, NAIVE_PROBES, 1),
+                ("pipelined", True, PIPELINED_PROBES, WINDOW)):
+            async with CamClient(host, port, pipelined=pipelined) as client:
+                legs[name] = await drive(
+                    client, probe_requests(probes, count),
+                    concurrency=window)
 
-        async with CamClient(host, port, pipelined=False) as naive:
-            started = loop.time()
-            hits_naive = 0
-            for key in probes[:NAIVE_PROBES]:
-                response = await naive.lookup(key)
-                hits_naive += int(response.result.hit)
-            naive_s = loop.time() - started
-        naive_rps = NAIVE_PROBES / naive_s
-
-        async with CamClient(host, port, pipelined=True) as fast:
-            window = asyncio.Semaphore(WINDOW)
-
-            async def probe(key):
-                async with window:
-                    return int((await fast.lookup(key)).result.hit)
-
-            started = loop.time()
-            flags = await asyncio.gather(*[
-                probe(key) for key in probes[:PIPELINED_PROBES]
-            ])
-            pipelined_s = loop.time() - started
-        pipelined_rps = PIPELINED_PROBES / pipelined_s
-
-        # same answers on the shared prefix, no decode trouble
-        assert sum(flags[:NAIVE_PROBES]) == hits_naive
+        # every answer right (against the stored set), no decode trouble
+        members = set(stored)
+        for leg in legs.values():
+            assert leg.ok == leg.requests
+            assert leg.hits == sum(key in members
+                                   for key in probes[:leg.requests])
         assert server.stats.decode_errors == 0
+        naive, fast = legs["naive"], legs["pipelined"]
         return {
             "stored": len(stored),
-            "naive_s": naive_s,
-            "naive_rps": naive_rps,
-            "pipelined_s": pipelined_s,
-            "pipelined_rps": pipelined_rps,
-            "speedup": pipelined_rps / naive_rps,
-            "hit_rate": sum(flags) / len(flags),
+            "naive_s": naive.wall_s,
+            "naive_rps": naive.achieved_rps,
+            "pipelined_s": fast.wall_s,
+            "pipelined_rps": fast.achieved_rps,
+            "speedup": fast.achieved_rps / naive.achieved_rps,
+            "hit_rate": fast.hits / fast.keys,
         }
     finally:
         await server.stop()

@@ -32,14 +32,8 @@ import pytest
 from conftest import run_once
 
 from repro.core import unit_for_entries
-from repro.service import (
-    CamService,
-    ShardedCam,
-    WorkloadSpec,
-    demo_cam,
-    drive_service,
-)
-from repro.service.workload import table09_probe_stream
+from repro.service import CamService, ShardedCam, demo_cam, drive
+from repro.service.workload import mixed_requests, table09_probe_stream
 
 SHARD_COUNTS = (1, 2, 4)
 PROBE_BATCH = 512
@@ -204,13 +198,14 @@ def test_service_front_door_serves_scaled_cam(benchmark, shards):
     async def scenario():
         cam = demo_cam(entries_per_shard=512, shards=shards,
                        block_size=64)
+        requests = mixed_requests(400, capacity=cam.capacity,
+                                  data_width=cam.config.data_width, seed=5)
         async with CamService(cam, max_batch=64,
                               request_timeout_s=10.0) as service:
-            return await drive_service(
-                service, WorkloadSpec(requests=400, clients=8, seed=5)
-            )
+            report = await drive(service, requests, concurrency=8)
+        return report, service.stats
 
-    report = run_once(benchmark, lambda: asyncio.run(scenario()))
-    assert report.ok == report.requests
+    report, stats = run_once(benchmark, lambda: asyncio.run(scenario()))
+    assert report.ok == report.requests == 400
     assert report.timeouts == report.shard_failures == 0
-    assert report.mean_batch_occupancy >= 1.0
+    assert stats.mean_batch_occupancy >= 1.0

@@ -24,7 +24,8 @@ import asyncio
 
 import repro
 from repro.core import ReferenceCam, binary_entry, unit_for_entries
-from repro.service import CamService, FaultyBackend, ShardedCam
+from repro.service import CamService, ShardedCam
+from repro.testing import FaultyBackend
 
 WIDTH = 16
 

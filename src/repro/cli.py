@@ -27,14 +27,18 @@ Subcommands:
   optionally verify the content-hash round-trip
 - ``validate-manifest``          -- schema-check a ``BENCH_*.json`` file
 
-``demo``, ``tc`` and ``audit`` accept ``--trace-out PATH`` to capture
-their span tree, and ``demo`` additionally ``--manifest-out PATH``.
+``demo``, ``tc``, ``audit`` and ``serve-demo`` accept ``--trace-out PATH``
+to capture their span tree; ``demo``, ``serve-demo`` and ``loadgen``
+accept ``--manifest-out PATH``.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import contextlib
 import json
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -42,15 +46,36 @@ from typing import List, Optional
 from repro import __version__, obs
 from repro.bench.experiments import ALL_EXHIBITS
 from repro.core import CamSession, CamType, open_session, unit_for_entries
+from repro.core.batch import ENGINES
 from repro.errors import ReproError
 from repro.graph.datasets import dataset_names
 from repro.hdlgen import write_project
+
+
+#: ``--engine`` choices for every command that takes one.
+_ENGINE_CHOICES = sorted(ENGINES)
 
 
 def _version_string() -> str:
     sha = obs.git_sha()
     suffix = f" (git {sha[:12]})" if sha else ""
     return f"repro {obs.package_version()}{suffix}"
+
+
+@contextlib.contextmanager
+def _telemetry(trace_out: Optional[str] = None, *, metrics: bool = False):
+    """Fresh metrics for the body (and spans, written to ``trace_out``
+    after it, when that is set); off when neither is asked for."""
+    if not (trace_out or metrics):
+        yield
+        return
+    obs.reset()
+    obs.enable(tracing=bool(trace_out))
+    try:
+        yield
+    finally:
+        obs.disable()
+    _write_trace(trace_out)
 
 
 def _write_trace(trace_out: Optional[str]) -> None:
@@ -60,6 +85,59 @@ def _write_trace(trace_out: Optional[str]) -> None:
     spans = obs.tracer().write_chrome(trace_out)
     print(f"wrote {spans} spans "
           f"({len(obs.tracer().events)} trace events) to {trace_out}")
+
+
+def _config(args: argparse.Namespace) -> dict:
+    """A command's options, for the ``config`` block of its manifest."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "trace_out", "manifest_out")}
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote manifest to {path}")
+
+
+def _service_options(max_delay_ms: float) -> argparse.ArgumentParser:
+    """The options ``serve`` and ``serve-demo`` share, as a parent
+    parser. Parents share their actions, so each command builds its own
+    copy with its own micro-batch wait default."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--shards", type=int, default=4)
+    parent.add_argument("--policy", choices=["hash", "range", "round_robin"],
+                        default="hash")
+    parent.add_argument("--engine", choices=_ENGINE_CHOICES, default="batch")
+    parent.add_argument("--entries-per-shard", type=int, default=512)
+    parent.add_argument("--replicas", type=int, default=1,
+                        help="replica sessions per shard (fan-out writes, "
+                             "failover reads, live recovery)")
+    parent.add_argument("--max-batch", type=int, default=64,
+                        help="micro-batch size cap per shard dispatcher")
+    parent.add_argument("--max-delay-ms", type=float, default=max_delay_ms,
+                        help="max wait to fill a micro-batch")
+    parent.add_argument("--queue-depth", type=int, default=1024,
+                        help="bounded admission queue size")
+    parent.add_argument("--timeout-ms", type=float, default=5000.0,
+                        help="per-request deadline from admission")
+    return parent
+
+
+def _service_from_args(args: argparse.Namespace, *, auto_repair=False,
+                       **cam_kwargs):
+    """A :class:`CamService` (not yet started) over a demo CAM, built
+    from the :func:`_service_options` flags."""
+    from repro.service import CamService, demo_cam
+
+    cam = demo_cam(entries_per_shard=args.entries_per_shard,
+                   shards=args.shards, engine=args.engine,
+                   policy=args.policy, replicas=args.replicas, **cam_kwargs)
+    return CamService(cam, max_batch=args.max_batch,
+                      max_delay_s=args.max_delay_ms / 1e3,
+                      queue_depth=args.queue_depth,
+                      request_timeout_s=args.timeout_ms / 1e3,
+                      auto_repair=auto_repair)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="update/search round-trip demo")
     demo.add_argument("--entries", type=int, default=256)
     demo.add_argument("--groups", type=int, default=2)
-    demo.add_argument("--engine", choices=["cycle", "batch", "audit"],
+    demo.add_argument("--engine", choices=_ENGINE_CHOICES,
                       default="cycle",
                       help="execution engine (see repro.core.batch)")
     demo.add_argument("--trace-out", default=None, metavar="PATH",
@@ -124,8 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run an instrumented workload and dump the metrics registry",
     )
-    metrics.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                         default="cycle")
+    metrics.add_argument("--engine", choices=_ENGINE_CHOICES, default="cycle")
     metrics.add_argument("--format", dest="fmt",
                          choices=["prometheus", "json", "both"],
                          default="both")
@@ -135,35 +212,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a traced workload and write Chrome trace-event JSON",
     )
     trace.add_argument("--out", default="repro_trace.json")
-    trace.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                       default="cycle")
+    trace.add_argument("--engine", choices=_ENGINE_CHOICES, default="cycle")
     trace.add_argument("--sample", type=float, default=1.0,
                        help="fraction of root spans to keep (0..1)")
 
     serve = sub.add_parser(
-        "serve-demo",
+        "serve-demo", parents=[_service_options(max_delay_ms=2.0)],
         help="drive the sharded async CAM service with synthetic traffic",
     )
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--policy", choices=["hash", "range", "round_robin"],
-                       default="hash")
-    serve.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                       default="batch")
-    serve.add_argument("--entries-per-shard", type=int, default=512)
     serve.add_argument("--requests", type=int, default=2000)
     serve.add_argument("--clients", type=int, default=8)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batch size cap per shard dispatcher")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="max wait to fill a micro-batch")
-    serve.add_argument("--queue-depth", type=int, default=1024,
-                       help="bounded admission queue size")
-    serve.add_argument("--timeout-ms", type=float, default=5000.0,
-                       help="per-request deadline from admission")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="replica sessions per shard (fan-out writes, "
-                            "failover reads, live recovery)")
     serve.add_argument("--auto-repair", action="store_true",
                        help="run the background repair monitor that "
                             "rebuilds failed replicas with exponential "
@@ -182,26 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write a BENCH-style run manifest (JSON)")
 
     serve_net = sub.add_parser(
-        "serve",
+        "serve", parents=[_service_options(max_delay_ms=1.0)],
         help="serve the sharded CAM over TCP (binary wire protocol)",
     )
     serve_net.add_argument("--host", default="127.0.0.1")
     serve_net.add_argument("--port", type=int, default=0,
                            help="TCP port (0 binds an ephemeral port, "
                                 "printed at startup)")
-    serve_net.add_argument("--shards", type=int, default=4)
-    serve_net.add_argument("--policy",
-                           choices=["hash", "range", "round_robin"],
-                           default="hash")
-    serve_net.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                           default="batch")
-    serve_net.add_argument("--entries-per-shard", type=int, default=512)
-    serve_net.add_argument("--replicas", type=int, default=1)
-    serve_net.add_argument("--max-batch", type=int, default=64)
-    serve_net.add_argument("--max-delay-ms", type=float, default=1.0)
-    serve_net.add_argument("--queue-depth", type=int, default=1024)
-    serve_net.add_argument("--timeout-ms", type=float, default=5000.0,
-                           help="per-request service deadline")
     serve_net.add_argument("--max-connections", type=int, default=64)
     serve_net.add_argument("--max-frame-size", type=int,
                            default=None, metavar="BYTES",
@@ -250,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--entries", type=int, default=256,
                           help="entries per shard")
     snapshot.add_argument("--shards", type=int, default=1)
-    snapshot.add_argument("--engine", choices=["cycle", "batch", "audit"],
+    snapshot.add_argument("--engine", choices=_ENGINE_CHOICES,
                           default="batch")
     snapshot.add_argument("--groups", type=int, default=1)
     snapshot.add_argument("--seed", type=int, default=0)
@@ -262,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="load a snapshot into a freshly built CAM and summarise it",
     )
     restore.add_argument("path")
-    restore.add_argument("--engine", choices=["cycle", "batch", "audit"],
+    restore.add_argument("--engine", choices=_ENGINE_CHOICES,
                          default=None,
                          help="engine for the rebuilt CAM (default: the "
                               "engine recorded in the snapshot)")
@@ -341,46 +387,45 @@ def _cmd_generate_hdl(args: argparse.Namespace) -> int:
 def _cmd_demo(entries: int, groups: int, engine: str = "cycle",
               trace_out: Optional[str] = None,
               manifest_out: Optional[str] = None) -> int:
-    if trace_out or manifest_out:
-        obs.reset()
-        obs.enable(tracing=bool(trace_out))
-    start = time.perf_counter()
-    session = open_session(unit_for_entries(
-        entries, block_size=64, data_width=32, default_groups=groups,
-        cam_type=CamType.BINARY,
-    ), engine=engine)
-    print(f"engine: {session.engine_name}")
-    stored = list(range(100, 100 + min(entries // groups, 64)))
-    session.update(stored)
-    print(f"stored {len(stored)} words in {session.last_update_stats.cycles} cycles")
-    probes = [stored[0], stored[-1], 99999]
-    results = session.search(probes)
-    for probe, result in zip(probes, results):
-        print(f"  search {probe}: hit={result.hit} address={result.address}")
-    print(f"search of {len(probes)} keys took "
-          f"{session.last_search_stats.cycles} cycles "
-          f"({groups} concurrent queries/cycle)")
-    wall_s = time.perf_counter() - start
-    _write_trace(trace_out)
-    if manifest_out:
-        from repro.core.stats import collect_stats, publish_stats
-
-        unit = getattr(session, "unit", None)
-        if unit is not None:
-            publish_stats(collect_stats(unit))
-        manifest = obs.build_manifest(
-            name="cli_demo",
-            config={"entries": entries, "groups": groups, "engine": engine},
-            timings={"wall_s": wall_s},
-            metrics=obs.metrics().snapshot(),
-        )
-        with open(manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote manifest to {manifest_out}")
-    if trace_out or manifest_out:
-        obs.disable()
+    with _telemetry(trace_out, metrics=bool(manifest_out)):
+        start = time.perf_counter()
+        session = open_session(unit_for_entries(
+            entries, block_size=64, data_width=32, default_groups=groups,
+            cam_type=CamType.BINARY,
+        ), engine=engine)
+        print(f"engine: {session.engine_name}")
+        stored = list(range(100, 100 + min(entries // groups, 64)))
+        session.update(stored)
+        print(f"stored {len(stored)} words in "
+              f"{session.last_update_stats.cycles} cycles")
+        probes = [stored[0], stored[-1], 99999]
+        results = session.search(probes)
+        for probe, result in zip(probes, results):
+            print(f"  search {probe}: hit={result.hit} "
+                  f"address={result.address}")
+        print(f"search of {len(probes)} keys took "
+              f"{session.last_search_stats.cycles} cycles "
+              f"({groups} concurrent queries/cycle)")
+        wall_s = time.perf_counter() - start
+        if manifest_out:
+            _publish_unit_stats(session)
+            _write_manifest(manifest_out, obs.build_manifest(
+                name="cli_demo",
+                config={"entries": entries, "groups": groups,
+                        "engine": engine},
+                timings={"wall_s": wall_s},
+                metrics=obs.metrics().snapshot(),
+            ))
     return 0
+
+
+def _publish_unit_stats(session) -> None:
+    """Publish a cycle session's unit counters (no-op for the others)."""
+    from repro.core.stats import collect_stats, publish_stats
+
+    unit = getattr(session, "unit", None)
+    if unit is not None:
+        publish_stats(collect_stats(unit))
 
 
 def _cmd_tc(dataset: str, max_edges: int,
@@ -393,22 +438,22 @@ def _cmd_tc(dataset: str, max_edges: int,
     )
     from repro.graph.datasets import get_dataset
 
-    if trace_out:
-        obs.reset()
-        obs.enable(tracing=True)
-    if dataset == "all":
-        rows = run_all(max_edges=max_edges)
-    else:
-        rows = [run_dataset(dataset, max_edges=max_edges)]
-    if trace_out:
-        # Drive the real cycle-accurate CAM on sampled edges so the
-        # trace shows the full nesting: tc.verify -> tc.intersect ->
-        # session.search/update -> unit.* engine spans.
-        spec = get_dataset(dataset_names()[0] if dataset == "all" else dataset)
-        standin = spec.standin(max_edges=min(max_edges, 4000))
-        verified = verify_functional_equivalence(standin.graph, sample_edges=4)
-        print(f"functional cross-check on {spec.name}: "
-              f"{verified} edges verified on the cycle-accurate CAM")
+    with _telemetry(trace_out):
+        if dataset == "all":
+            rows = run_all(max_edges=max_edges)
+        else:
+            rows = [run_dataset(dataset, max_edges=max_edges)]
+        if trace_out:
+            # Drive the real cycle-accurate CAM on sampled edges so the
+            # trace shows the full nesting: tc.verify -> tc.intersect ->
+            # session.search/update -> unit.* engine spans.
+            spec = get_dataset(dataset_names()[0] if dataset == "all"
+                               else dataset)
+            standin = spec.standin(max_edges=min(max_edges, 4000))
+            verified = verify_functional_equivalence(standin.graph,
+                                                     sample_edges=4)
+            print(f"functional cross-check on {spec.name}: "
+                  f"{verified} edges verified on the cycle-accurate CAM")
     print(f"{'dataset':20s} {'edges':>9s} {'triangles':>10s} "
           f"{'ours ms':>9s} {'base ms':>9s} {'speedup':>7s} {'paper':>6s}")
     for row in rows:
@@ -418,9 +463,6 @@ def _cmd_tc(dataset: str, max_edges: int,
     if len(rows) > 1:
         print(f"average speedup: {arithmetic_mean_speedup(rows):.2f} "
               "(paper: 4.92)")
-    if trace_out:
-        _write_trace(trace_out)
-        obs.disable()
     return 0
 
 
@@ -453,9 +495,6 @@ def _cmd_sweep(level: str, sizes_csv: str, data_width: int) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.core import check_equivalence, check_three_way
 
-    if args.trace_out:
-        obs.reset()
-        obs.enable(tracing=True)
     config = unit_for_entries(
         args.entries,
         block_size=args.block_size,
@@ -467,15 +506,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(f"config: {config.num_blocks} blocks x {config.block.block_size} "
           f"cells, {config.data_width}-bit {args.cam_type} entries, "
           f"M={args.groups}")
-    three_way = check_three_way(config, operations=args.operations,
-                                seed=args.seed)
-    print(f"three-way (cycle vs batch vs golden): {three_way.summary()}")
-    audit = check_equivalence(config, operations=args.operations,
-                              seed=args.seed, engine="audit")
-    print(f"audit engine vs golden:               {audit.summary()}")
-    if args.trace_out:
-        _write_trace(args.trace_out)
-        obs.disable()
+    with _telemetry(args.trace_out):
+        three_way = check_three_way(config, operations=args.operations,
+                                    seed=args.seed)
+        print(f"three-way (cycle vs batch vs golden): {three_way.summary()}")
+        audit = check_equivalence(config, operations=args.operations,
+                                  seed=args.seed, engine="audit")
+        print(f"audit engine vs golden:               {audit.summary()}")
     return 0 if (three_way.passed and audit.passed) else 1
 
 
@@ -498,15 +535,8 @@ def _run_sample_workload(engine: str) -> CamSession:
 
 
 def _cmd_metrics(engine: str, fmt: str) -> int:
-    from repro.core.stats import collect_stats, publish_stats
-
-    obs.reset()
-    obs.enable(tracing=False)
-    session = _run_sample_workload(engine)
-    unit = getattr(session, "unit", None)
-    if unit is not None:
-        publish_stats(collect_stats(unit))
-    obs.disable()
+    with _telemetry(metrics=True):
+        _publish_unit_stats(_run_sample_workload(engine))
     if fmt in ("prometheus", "both"):
         print(obs.metrics().to_prometheus(), end="")
     if fmt == "both":
@@ -514,6 +544,13 @@ def _cmd_metrics(engine: str, fmt: str) -> int:
     if fmt in ("json", "both"):
         print(obs.metrics().to_json())
     return 0
+
+
+def _traced_session() -> CamSession:
+    """A small cycle-accurate session that records every signal."""
+    return CamSession(unit_for_entries(64, block_size=16, data_width=32,
+                                       bus_width=128, default_groups=2),
+                      trace=True)
 
 
 def _cmd_trace(out_path: str, engine: str, sample: float) -> int:
@@ -524,11 +561,7 @@ def _cmd_trace(out_path: str, engine: str, sample: float) -> int:
     # Unify the cycle-accurate waveform with the span timeline: rerun a
     # tiny scenario with signal tracing on and project it onto the
     # simulator track of the same Chrome trace.
-    sim_session = CamSession(
-        unit_for_entries(64, block_size=16, data_width=32, bus_width=128,
-                         default_groups=2),
-        trace=True,
-    )
+    sim_session = _traced_session()
     sim_session.update([0xAA, 0xBB])
     sim_session.search([0xBB])
     obs.tracer().add_sim_trace(sim_session.trace)
@@ -537,108 +570,57 @@ def _cmd_trace(out_path: str, engine: str, sample: float) -> int:
 
 
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    from repro.service import WorkloadSpec, demo_cam, run_demo_workload
+    from repro.service.workload import drive, mixed_requests
 
-    if args.trace_out or args.manifest_out:
-        obs.reset()
-        obs.enable(tracing=bool(args.trace_out))
-    cam = demo_cam(
-        entries_per_shard=args.entries_per_shard,
-        shards=args.shards,
-        engine=args.engine,
-        policy=args.policy,
-        poison_shard=args.poison_shard,
-        replicas=args.replicas,
-        fault_mode=args.fault_mode,
-    )
-    spec = WorkloadSpec(requests=args.requests, clients=args.clients,
-                        seed=args.seed)
-    print(f"service: {cam.engine_name}, policy={args.policy}, "
-          f"capacity={cam.capacity}")
-    print(f"traffic: {spec.requests} requests from {spec.clients} clients "
-          f"(seed {spec.seed})")
-    report = run_demo_workload(
-        cam,
-        spec,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-        queue_depth=args.queue_depth,
-        request_timeout_s=args.timeout_ms / 1e3,
-        auto_repair=args.auto_repair,
-    )
-    print(report.render())
-    _write_trace(args.trace_out)
-    if args.manifest_out:
-        manifest = obs.build_manifest(
-            name="cli_serve_demo",
-            config={
-                "shards": args.shards,
-                "policy": args.policy,
-                "engine": args.engine,
-                "entries_per_shard": args.entries_per_shard,
-                "requests": spec.requests,
-                "clients": spec.clients,
-                "max_batch": args.max_batch,
-                "max_delay_ms": args.max_delay_ms,
-                "queue_depth": args.queue_depth,
-                "timeout_ms": args.timeout_ms,
-                "poison_shard": args.poison_shard,
-                "replicas": args.replicas,
-                "fault_mode": args.fault_mode,
-                "auto_repair": args.auto_repair,
-            },
-            timings={"wall_s": report.wall_s},
-            metrics=obs.metrics().snapshot(),
-            extra={
-                "ok": report.ok,
-                "timeouts": report.timeouts,
-                "shard_failures": report.shard_failures,
-                "rejected": report.rejected,
-                "throughput_rps": report.throughput_rps,
-                "latency_p99_ms": report.latency_percentile(0.99) * 1e3,
-                "mean_batch_occupancy": report.mean_batch_occupancy,
-                "poisoned_shards": report.poisoned_shards,
-                "simulated_cycles": report.simulated_cycles,
-                "repairs_completed": report.repairs_completed,
-                "repairs_failed": report.repairs_failed,
-                "failed_replicas": report.failed_replicas,
-            },
+    with _telemetry(args.trace_out, metrics=bool(args.manifest_out)):
+        service = _service_from_args(
+            args, auto_repair=args.auto_repair, poison_shard=args.poison_shard,
+            fault_mode=args.fault_mode,
         )
-        with open(args.manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote manifest to {args.manifest_out}")
-    if args.trace_out or args.manifest_out:
-        obs.disable()
-    degraded = report.timeouts + report.shard_failures + report.client_errors
-    if args.poison_shard is None and degraded:
+        cam = service.cam
+        requests = mixed_requests(args.requests, capacity=cam.capacity,
+                                  data_width=cam.config.data_width,
+                                  seed=args.seed)
+        print(f"service: {cam.engine_name}, policy={args.policy}, "
+              f"capacity={cam.capacity}")
+        print(f"traffic: {args.requests} requests from {args.clients} clients "
+              f"(seed {args.seed})")
+
+        async def _run():
+            async with service:
+                return await drive(service, requests, concurrency=args.clients)
+
+        report = asyncio.run(_run())
+        stats = service.stats
+        service_side = {
+            "mean_batch_occupancy": round(stats.mean_batch_occupancy, 2),
+            "max_queue_depth": stats.max_queue_depth,
+            "poisoned_shards": list(cam.poisoned_shards),
+            "simulated_cycles": cam.cycle,
+            "repairs_completed": stats.repairs_completed,
+            "repairs_failed": stats.repairs_failed,
+            "failed_replicas": {
+                shard: list(failed)
+                for shard, session in enumerate(cam.sessions)
+                if (failed := getattr(session, "failed_replicas", ()))
+            },
+        }
+        print(report.render(**service_side))
+        if args.manifest_out:
+            _write_manifest(args.manifest_out, report.manifest(
+                "cli_serve_demo", _config(args), **service_side))
+    if args.poison_shard is None and report.ok < report.requests:
         return 1
     return 0
 
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
     from repro.net import MAX_FRAME_SIZE, CamServer
-    from repro.service import CamService, demo_cam
 
-    cam = demo_cam(
-        entries_per_shard=args.entries_per_shard,
-        shards=args.shards,
-        engine=args.engine,
-        policy=args.policy,
-        replicas=args.replicas,
-    )
+    service = _service_from_args(args)
+    cam = service.cam
 
     async def _serve() -> int:
-        service = CamService(
-            cam,
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms / 1e3,
-            queue_depth=args.queue_depth,
-            request_timeout_s=args.timeout_ms / 1e3,
-        )
         await service.start()
         server = CamServer(
             service,
@@ -662,13 +644,9 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
         try:
-            if args.max_seconds is not None:
-                try:
-                    await asyncio.wait_for(stop.wait(), args.max_seconds)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await stop.wait()
+            await asyncio.wait_for(stop.wait(), args.max_seconds)
+        except asyncio.TimeoutError:
+            pass  # --max-seconds elapsed
         finally:
             print("draining...", flush=True)
             await server.stop()
@@ -683,38 +661,56 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     return asyncio.run(_serve())
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.net import LoadgenSpec, run_loadgen_blocking
+#: Words per INSERT frame when ``loadgen`` stores the probe stream.
+_SEED_BATCH = 64
 
-    if args.manifest_out:
-        obs.reset()
-        obs.enable()
-    spec = LoadgenSpec(
-        mode=args.mode,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        rate=args.rate,
-        batch=args.batch,
-        pool_size=args.pool,
-        pipelined=not args.naive,
-        kill_after=args.kill_after,
-        seed=args.seed,
+
+def _cmd_loadgen(args: argparse.Namespace) -> int:
+    from repro.net import CamClient
+    from repro.service.workload import (
+        drive,
+        probe_requests,
+        table09_probe_stream,
     )
-    print(f"loadgen: {spec.mode} loop against "
-          f"{args.host}:{args.port} "
-          f"({'naive' if args.naive else 'pipelined'}, "
-          f"pool={spec.pool_size})", flush=True)
-    report = run_loadgen_blocking(args.host, args.port, spec,
-                                  request_timeout_s=args.timeout_s)
-    print(report.render())
-    if args.manifest_out:
-        manifest = report.manifest(spec)
-        with open(args.manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote manifest to {args.manifest_out}")
-        obs.disable()
-    return 1 if report.errors else 0
+
+    with _telemetry(metrics=bool(args.manifest_out)):
+        print(f"loadgen: {args.mode} loop against {args.host}:{args.port} "
+              f"({'naive' if args.naive else 'pipelined'}, pool={args.pool})",
+              flush=True)
+
+        async def _run():
+            async with CamClient(args.host, args.port, pool_size=args.pool,
+                                 pipelined=not args.naive,
+                                 request_timeout_s=args.timeout_s,
+                                 max_retries=5) as client:
+                cam = (await client.stats())["cam"]
+                stored, probes = table09_probe_stream(int(cam["capacity"]),
+                                                      seed=args.seed)
+                inserts = [("insert", stored[start:start + _SEED_BATCH])
+                           for start in range(0, len(stored), _SEED_BATCH)]
+                if int(cam["occupancy"]):
+                    inserts = []  # already stored by an earlier run
+                seeded = await drive(client, inserts, concurrency=1)
+                after = (None if args.kill_after is None
+                         else (args.kill_after, client.kill_connections))
+                report = await drive(
+                    client, probe_requests(probes, args.requests, args.batch),
+                    concurrency=args.concurrency,
+                    rate=args.rate if args.mode == "open" else None,
+                    after=after,
+                )
+                return seeded, report, client.retries, client.kills
+
+        seeded, report, retries, kills = asyncio.run(_run())
+        # ``errors`` (rejected requests) is the name the CI job asserts on.
+        client_side = dict(stored_words=seeded.words_stored,
+                           seed_s=round(seeded.wall_s, 4), retries=retries,
+                           kills=kills, errors=report.rejected)
+        print(report.render(**client_side))
+        if args.manifest_out:
+            _write_manifest(args.manifest_out, report.manifest(
+                "net_loadgen", _config(args), **client_side))
+    return 1 if report.rejected else 0
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
@@ -871,11 +867,7 @@ def _cmd_validate_manifest(path: str) -> int:
 def _cmd_vcd(out_path: str) -> int:
     from repro.sim import write_vcd
 
-    session = CamSession(
-        unit_for_entries(64, block_size=16, data_width=32, bus_width=128,
-                         default_groups=2),
-        trace=True,
-    )
+    session = _traced_session()
     session.update([0xAA, 0xBB, 0xCC])
     session.search([0xBB, 0x99])
     session.delete(0xAA)

@@ -27,8 +27,7 @@ against the simulator by the differential test suite
 - ``reset`` and ``set_groups`` cost ``update_latency + 2`` cycles
   (the fixed flush window :class:`CamSession` waits out).
 
-Three engines are exposed through :func:`open_session` (the legacy
-``CamSession(config, engine=...)`` spelling is deprecated):
+Three engines are exposed through :func:`open_session`:
 
 - ``"cycle"``  -- the register-accurate simulator (default),
 - ``"batch"``  -- this module's vectorized fast path,
@@ -151,7 +150,6 @@ class BatchSession(CamSession):
         config: UnitConfig,
         trace: bool = False,
         name: str = "cam_unit",
-        engine: Optional[str] = None,
     ) -> None:
         if trace:
             raise ConfigError(
@@ -577,7 +575,6 @@ class AuditSession(BatchSession):
         config: UnitConfig,
         trace: bool = False,
         name: str = "cam_unit",
-        engine: Optional[str] = None,
         audit_sample: float = 0.1,
         audit_seed: int = 0,
         strict: bool = True,

@@ -98,7 +98,7 @@ class CamSession:
 
     ``CamSession(config)`` drives the register-accurate simulator. Two
     alternative execution engines share this exact API (see
-    :mod:`repro.core.batch`): ``CamSession(config, engine="batch")``
+    :mod:`repro.core.batch`): ``open_session(config, engine="batch")``
     returns a vectorized :class:`~repro.core.batch.BatchSession` and
     ``engine="audit"`` an :class:`~repro.core.batch.AuditSession` that
     differentially verifies the fast path against a cycle-accurate
@@ -109,37 +109,11 @@ class CamSession:
 
     engine_name = "cycle"
 
-    def __new__(cls, config=None, *args, **kwargs):
-        # Deprecated dispatch shim: `engine` is the 4th parameter of
-        # __init__ (config, trace, name, engine), so it can arrive
-        # positionally as args[2] -- historically only the keyword
-        # spelling dispatched and a positional engine was silently
-        # dropped, returning a cycle session.
-        engine = kwargs.get("engine")
-        if engine is None and len(args) >= 3:
-            engine = args[2]
-        if cls is CamSession and engine not in (None, "cycle"):
-            import warnings
-
-            warnings.warn(
-                "engine dispatch through CamSession(config, engine=...) is "
-                "deprecated and will be removed in repro 0.6; construct "
-                "sessions with repro.open_session(config, engine=...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from repro.core.batch import session_class_for
-
-            return super().__new__(session_class_for(engine))
-        return super().__new__(cls)
-
     def __init__(
         self,
         config: UnitConfig,
         trace: bool = False,
         name: str = "cam_unit",
-        engine: Optional[str] = None,
     ) -> None:
         self.config = config
         self.unit = CamUnit(config, name=name)

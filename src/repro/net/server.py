@@ -3,9 +3,9 @@
 :class:`CamServer` is the socket front door of the reproduction: it
 accepts connections, decodes :mod:`repro.net.protocol` frames
 incrementally, executes each request against the wrapped
-:class:`~repro.service.scheduler.CamService` (batch frames fan out to
-concurrent service calls) and streams responses back through a
-per-connection writer task -- requests from one connection are served
+:class:`~repro.service.scheduler.CamService` (a batch LOOKUP frame is
+one ``CamService.lookup_many`` call) and streams responses back
+through a per-connection writer task -- requests from one connection are served
 *pipelined*, never lock-step.
 
 Operational guarantees:
@@ -375,9 +375,7 @@ class CamServer:
             self._send(conn, Opcode.PONG, frame.request_id, frame.payload)
         elif opcode is Opcode.LOOKUP:
             keys = protocol.decode_lookup(frame.payload)
-            responses = await asyncio.gather(*[
-                self.service.lookup(key) for key in keys
-            ])
+            responses = await self.service.lookup_many(keys)
             payload = protocol.encode_results([
                 (response.status, response.result)
                 for response in responses

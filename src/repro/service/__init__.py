@@ -50,36 +50,26 @@ from repro.service.sharding import (
     ShardPolicy,
     policy_for,
 )
-from repro.service.workload import (
-    FaultyBackend,
-    WorkloadReport,
-    WorkloadSpec,
-    demo_cam,
-    drive_service,
-    run_demo_workload,
-)
+from repro.service.workload import LoadReport, demo_cam, drive
 
 __all__ = [
     "POLICIES",
     "SNAPSHOT_VERSION",
     "CamService",
     "CamSnapshot",
-    "FaultyBackend",
     "ReplicaSet",
     "ReplicaStats",
     "SnapshotEntry",
     "HashShardPolicy",
+    "LoadReport",
     "RangeShardPolicy",
     "RoundRobinShardPolicy",
     "ServiceResponse",
     "ServiceStats",
     "ShardPolicy",
     "ShardedCam",
-    "WorkloadReport",
-    "WorkloadSpec",
     "demo_cam",
-    "drive_service",
+    "drive",
     "merge_results",
     "policy_for",
-    "run_demo_workload",
 ]

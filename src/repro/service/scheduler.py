@@ -370,6 +370,11 @@ class CamService:
         """Search one key; the merged result respects global priority."""
         return await self._admit(_Request("lookup", key=int(key)))
 
+    async def lookup_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
+        """Search many keys at once, one :meth:`lookup` per key, so they
+        share micro-batches; answers come back in ``keys`` order."""
+        return await asyncio.gather(*[self.lookup(key) for key in keys])
+
     async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
         """Store a batch of words (routed per shard at admission)."""
         words = list(words)

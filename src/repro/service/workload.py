@@ -1,230 +1,257 @@
-"""Synthetic traffic driver for the sharded CAM service.
+"""One load driver for the CAM service, in process or over the wire.
 
-Powers ``python -m repro serve-demo``, the CI service-smoke job and the
-shard-scaling benchmark: a reproducible mixed lookup/insert/delete
-workload executed by concurrent client tasks against a
-:class:`~repro.service.scheduler.CamService`, summarised into a
-:class:`WorkloadReport` (outcome counts, latency percentiles,
-throughput, per-shard health).
-
-Also home to :class:`FaultyBackend`, the fault-injection session proxy
-the failure-isolation demo and tests use to poison one shard mid-run.
+:func:`drive` sends a list of requests to any target whose
+``lookup_many``/``insert``/``delete`` return
+:class:`~repro.service.scheduler.ServiceResponse` -- a started
+``CamService`` or a connected ``CamClient`` -- in a closed loop, or in
+an open loop timed from each request's due time (see
+``docs/networking.md`` section 6). :func:`probe_requests` (the Table IX
+stream) and :func:`mixed_requests` (serve-demo's mix) build the lists;
+:func:`demo_cam` builds serve-demo's backing :class:`ShardedCam`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import itertools
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import UnitConfig, unit_for_entries
 from repro.core.types import CamType
-from repro.errors import ConfigError, SimulationError
-from repro.service.scheduler import CamService, ServiceResponse
+from repro.errors import ConfigError, NetError, ServiceError
 from repro.service.sharded import ShardedCam
+from repro.testing import FaultyBackend
+
+#: One request: ("lookup", keys), ("insert", words) or ("delete", [key]).
+Request = Tuple[str, List[int]]
+
+#: serve-demo's mix: shares of lookups and deletes (the rest insert),
+#: words per insert, and the share of keys drawn from a small hot set.
+LOOKUP_FRACTION = 0.75
+DELETE_FRACTION = 0.05
+INSERT_BATCH_MAX = 8
+HOT_FRACTION = 0.2
+#: Share of capacity a generated workload stores: the Table IX stream's
+#: hub adjacency, and the mix's inserts (past it, only lookups are made).
+FILL_BUDGET = 0.6
+
+#: ``ServiceResponse.status`` -> the :class:`LoadReport` field counting it.
+_OUTCOME_FIELDS = {"ok": "ok", "timeout": "timeouts",
+                   "shard_failed": "shard_failures", "error": "client_errors"}
 
 
-class FaultyBackend:
-    """Session proxy that injects a fault after ``fail_after`` ops.
-
-    Wraps a real session and forwards everything; once the programmed
-    operation count is reached the selected failure ``mode`` kicks in:
-
-    - ``"wedge"`` (default, the original behaviour) -- every further
-      transaction raises :class:`SimulationError` forever; the sharded
-      layer poisons the shard, a replica set fences the replica.
-    - ``"crash"`` -- transactions raise for a window of ``fail_ops``
-      operations, then the backend recovers (a rebooted process: its
-      *content is stale*, so it must be rebuilt from a peer before it
-      can serve again -- exactly what the repair path does).
-    - ``"diverge"`` -- updates silently drop their words while
-      reporting success; nothing raises. Only the replica set's
-      content-hash divergence beats catch this one.
-
-    Snapshot/restore/reset pass through untouched (they ride
-    ``__getattr__``), so a wedged or crashed replica can still be
-    rebuilt from a donor snapshot.
-    """
-
-    MODES = ("wedge", "crash", "diverge")
-
-    def __init__(self, session, fail_after: int, *, mode: str = "wedge",
-                 fail_ops: int = 25) -> None:
-        if mode not in self.MODES:
-            raise ConfigError(
-                f"fault mode must be one of {self.MODES}, got {mode!r}"
-            )
-        if fail_ops < 1:
-            raise ConfigError(f"fail_ops must be >= 1, got {fail_ops}")
-        self._session = session
-        self._fail_after = fail_after
-        self._mode = mode
-        self._fail_ops = fail_ops
-        self._ops = 0
-
-    def heal(self) -> None:
-        """Clear the injected fault (models swapping in a healthy node).
-
-        The backend's *content* stays whatever the fault left behind, so
-        a wedged/crashed replica still needs a rebuild before serving.
-        """
-        self._fail_after = float("inf")
-
-    def _faulting(self) -> bool:
-        if self._ops <= self._fail_after:
-            return False
-        if self._mode == "crash":
-            return self._ops <= self._fail_after + self._fail_ops
-        return True
-
-    def _tick(self) -> None:
-        self._ops += 1
-        if self._mode != "diverge" and self._faulting():
-            raise SimulationError(
-                f"injected {self._mode} fault after {self._fail_after} ops"
-            )
-
-    def update(self, words, group=None):
-        self._tick()
-        if self._mode == "diverge" and self._faulting():
-            # Silently lose the write but report plausible stats: the
-            # replica now disagrees without ever raising.
-            words = list(words)
-            per_beat = self._session.words_per_beat
-            beats = -(-len(words) // per_beat)
-            from repro.core.session import UpdateStats
-
-            return UpdateStats(
-                words=len(words), beats=beats,
-                cycles=beats + self._session.update_latency - 1,
-            )
-        return self._session.update(words, group=group)
-
-    def search(self, keys, groups=None):
-        self._tick()
-        return self._session.search(keys, groups=groups)
-
-    def delete(self, key):
-        self._tick()
-        return self._session.delete(key)
-
-    def __getattr__(self, name):
-        return getattr(self._session, name)
+def probe_requests(probes: Sequence[int], count: int,
+                   keys_per_request: int = 1) -> List[Request]:
+    """``count`` LOOKUPs of ``keys_per_request`` keys each, cycling
+    through ``probes`` in order."""
+    if min(count, keys_per_request) < 1:
+        raise ConfigError(f"count and keys_per_request must be >= 1, got "
+                          f"{count} and {keys_per_request}")
+    stream = itertools.cycle(int(key) for key in probes)
+    return [("lookup", list(itertools.islice(stream, keys_per_request)))
+            for _ in range(count)]
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Shape of one synthetic run (all knobs CLI-settable)."""
+def mixed_requests(count: int, *, capacity: int, data_width: int,
+                   seed: int = 0) -> List[Request]:
+    """serve-demo's traffic: mostly single-key lookups, some deletes and
+    small inserts, with a hot key set. No insert is made once earlier
+    ones add up to :data:`FILL_BUDGET` of ``capacity`` words."""
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count}")
+    rng = np.random.default_rng(seed)
+    key_space = min(1 << data_width, 1 << 20)
+    hot_keys = max(1, key_space // 1000)
+    budget = int(capacity * FILL_BUDGET)
 
-    requests: int = 2000
-    clients: int = 8
-    lookup_fraction: float = 0.75
-    delete_fraction: float = 0.05
-    insert_batch_max: int = 8
-    hot_fraction: float = 0.2
-    seed: int = 0
+    def key() -> int:
+        if rng.random() < HOT_FRACTION:
+            return int(rng.integers(0, hot_keys))
+        return int(rng.integers(0, key_space))
 
-    def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ConfigError(f"requests must be >= 1, got {self.requests}")
-        if self.clients < 1:
-            raise ConfigError(f"clients must be >= 1, got {self.clients}")
-        if not 0 <= self.lookup_fraction + self.delete_fraction <= 1:
-            raise ConfigError("lookup+delete fractions must be within [0, 1]")
+    requests: List[Request] = []
+    stored = 0
+    for _ in range(count):
+        roll = rng.random()
+        if roll < LOOKUP_FRACTION or stored >= budget:
+            requests.append(("lookup", [key()]))
+        elif roll < LOOKUP_FRACTION + DELETE_FRACTION:
+            requests.append(("delete", [key()]))
+        else:
+            size = int(rng.integers(1, INSERT_BATCH_MAX + 1))
+            requests.append(("insert", [key() for _ in range(size)]))
+            stored += size
+    return requests
 
 
 @dataclass
-class WorkloadReport:
-    """Outcome summary of one synthetic service run."""
+class LoadReport:
+    """What one :func:`drive` run sent, what came back, and how long
+    each answered request took."""
 
     requests: int = 0
     lookups: int = 0
     inserts: int = 0
     deletes: int = 0
+    keys: int = 0
     hits: int = 0
+    words_stored: int = 0
     ok: int = 0
     timeouts: int = 0
     shard_failures: int = 0
     client_errors: int = 0
     rejected: int = 0
-    words_stored: int = 0
+    offered_rps: Optional[float] = None
     wall_s: float = 0.0
     latencies_s: List[float] = field(default_factory=list)
-    shards: int = 0
-    poisoned_shards: List[int] = field(default_factory=list)
-    max_queue_depth: int = 0
-    mean_batch_occupancy: float = 0.0
-    simulated_cycles: int = 0
-    replicas: int = 1
-    repairs_completed: int = 0
-    repairs_failed: int = 0
-    failed_replicas: Dict[int, List[int]] = field(default_factory=dict)
 
     @property
-    def throughput_rps(self) -> float:
+    def achieved_rps(self) -> float:
         return self.requests / self.wall_s if self.wall_s > 0 else 0.0
 
-    def latency_percentile(self, q: float) -> float:
+    def latency_ms(self, q: float) -> float:
+        """The ``q`` quantile (0..1) of answered requests' latency."""
         if not self.latencies_s:
             return 0.0
         ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        return ordered[min(len(ordered) - 1, int(q * len(ordered)))] * 1e3
 
-    def render(self) -> str:
-        lines = [
-            f"requests          : {self.requests} "
-            f"({self.lookups} lookups, {self.inserts} inserts, "
-            f"{self.deletes} deletes)",
-            f"outcomes          : {self.ok} ok, {self.timeouts} timeout, "
-            f"{self.shard_failures} shard_failed, "
-            f"{self.client_errors} error, {self.rejected} rejected",
-            f"hit rate          : "
-            f"{self.hits / self.lookups:.3f}" if self.lookups else
-            "hit rate          : n/a",
-            f"stored words      : {self.words_stored}",
-            f"wall time         : {self.wall_s:.3f} s "
-            f"({self.throughput_rps:,.0f} req/s)",
-            f"latency p50/p95/p99: {self.latency_percentile(0.50) * 1e3:.2f} / "
-            f"{self.latency_percentile(0.95) * 1e3:.2f} / "
-            f"{self.latency_percentile(0.99) * 1e3:.2f} ms",
-            f"batching          : mean occupancy "
-            f"{self.mean_batch_occupancy:.1f} req/flush, "
-            f"max queue depth {self.max_queue_depth}",
-            f"shards            : {self.shards} total, "
-            f"poisoned {self.poisoned_shards or 'none'}",
-            f"simulated cycles  : {self.simulated_cycles}",
-        ]
-        if self.replicas > 1:
-            lines.append(
-                f"replication       : {self.replicas} replicas/shard, "
-                f"{self.repairs_completed} repairs completed, "
-                f"{self.repairs_failed} failed, degraded replicas "
-                f"{self.failed_replicas or 'none'}"
-            )
-        return "\n".join(lines)
+    def _count(self, op: str, values: List[int]) -> None:
+        self.requests += 1
+        setattr(self, op + "s", getattr(self, op + "s") + 1)
+        if op == "lookup":
+            self.keys += len(values)
+
+    def _answer(self, responses, latency_s: float) -> None:
+        self.latencies_s.append(latency_s)
+        status = next((r.status for r in responses if not r.ok), "ok")
+        name = _OUTCOME_FIELDS[status]
+        setattr(self, name, getattr(self, name) + 1)
+        for response in responses:
+            if response.ok and response.kind == "lookup":
+                self.hits += int(response.result.hit)
+            elif response.ok and response.kind == "insert":
+                self.words_stored += response.stats.words
+
+    def summary(self, **extra) -> Dict[str, object]:
+        """Every count, the offered and achieved rates and the latency
+        percentiles with their sample count, by name, then ``extra``."""
+        summary = asdict(self)
+        summary["latency_samples"] = len(summary.pop("latencies_s"))
+        summary["wall_s"] = round(self.wall_s, 4)
+        summary["achieved_rps"] = round(self.achieved_rps, 1)
+        for q in (50, 95, 99):
+            summary[f"latency_p{q}_ms"] = round(self.latency_ms(q / 100), 3)
+        return {**summary, **extra}
+
+    def render(self, **extra) -> str:
+        """:meth:`summary` as one ``name : value`` line per figure."""
+        figures = self.summary(**extra)
+        width = max(map(len, figures))
+        return "\n".join(f"{name:{width}s} : {value}"
+                         for name, value in figures.items())
+
+    def manifest(self, name: str, config: dict, **extra) -> dict:
+        """A schema-valid ``repro.bench.manifest`` whose ``extra`` is
+        :meth:`summary`."""
+        return obs.build_manifest(
+            name=name, config=config, timings={"wall_s": self.wall_s},
+            metrics=obs.metrics().snapshot(), extra=self.summary(**extra),
+        )
 
 
-def table09_probe_stream(
-    capacity: int,
+async def _send(target, op: str, values: List[int]):
+    if op == "lookup":
+        return await target.lookup_many(values)
+    if op == "insert":
+        return [await target.insert(values)]
+    return [await target.delete(values[0])]
+
+
+async def drive(
+    target,
+    requests: Sequence[Request],
     *,
-    seed: int = 3,
-    num_vertices: int = 2000,
-    num_edges: int = 12_000,
-    triangle_fraction: float = 0.4,
-    fill: float = 0.6,
-    max_probes: int = 16_000,
-):
+    concurrency: int,
+    rate: Optional[float] = None,
+    after: Optional[Tuple[int, Callable[[], object]]] = None,
+) -> LoadReport:
+    """Send every request in ``requests`` to ``target`` exactly once.
+
+    ``rate=None`` runs a closed loop of ``concurrency`` workers; a rate
+    (req/s) runs an open loop timed from each request's due time, with
+    at most ``concurrency`` requests in flight. ``after=(n, fn)`` calls
+    ``fn()`` once, after ``n`` requests have completed.
+    """
+    if concurrency < 1:
+        raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
+    if rate is not None and rate <= 0:
+        raise ConfigError(f"open-loop rate must be > 0 req/s, got {rate}")
+    if after is not None and after[0] < 0:
+        raise ConfigError(f"after needs n >= 0, got {after[0]}")
+    unknown = {op for op, _ in requests} - {"lookup", "insert", "delete"}
+    if unknown:
+        raise ConfigError(f"unknown request ops {sorted(unknown)}")
+    report = LoadReport(offered_rps=rate)
+    loop = asyncio.get_running_loop()
+    completed = 0
+
+    async def fire(op: str, values: List[int], start: float) -> None:
+        nonlocal completed, after
+        report._count(op, values)
+        try:
+            responses = await _send(target, op, values)
+        except (ServiceError, NetError):
+            report.rejected += 1
+        else:
+            report._answer(responses, loop.time() - start)
+        completed += 1
+        if after is not None and completed >= after[0]:
+            after, fn = None, after[1]
+            fn()
+
+    started = loop.time()
+    if rate is None:
+        pending = iter(requests)
+
+        async def worker() -> None:
+            for op, values in pending:
+                await fire(op, values, loop.time())
+
+        workers = min(concurrency, len(requests))
+        await asyncio.gather(*(worker() for _ in range(workers)))
+    else:
+        in_flight = asyncio.Semaphore(concurrency)
+
+        async def arrive(op: str, values: List[int], due: float) -> None:
+            async with in_flight:
+                await fire(op, values, due)
+
+        tasks = []
+        for index, (op, values) in enumerate(requests):
+            due = started + index / rate
+            if due > loop.time():
+                await asyncio.sleep(due - loop.time())
+            tasks.append(asyncio.ensure_future(arrive(op, values, due)))
+        await asyncio.gather(*tasks)
+    report.wall_s = loop.time() - started
+    return report
+
+
+def table09_probe_stream(capacity: int, *, seed: int = 3,
+                         max_probes: int = 16_000):
     """The Table IX adjacency-intersection workload as a CAM stream.
 
-    Hub adjacency sets of a power-law graph are stored in the CAM
-    (up to ``fill`` of ``capacity`` distinct neighbor ids), then the
-    probe sides of sampled edges stream through as membership lookups
-    -- each hit is one intersection contribution, exactly what the
-    triangle-counting pipeline asks the CAM per edge. Shared by the
+    Hub adjacency sets of a 2,000-vertex, 12,000-edge power-law graph
+    are stored in the CAM (up to :data:`FILL_BUDGET` of ``capacity``
+    distinct neighbor ids), then the probe sides of sampled edges
+    stream through as membership lookups -- each hit is one
+    intersection contribution, exactly what the triangle-counting
+    pipeline asks the CAM per edge. Shared by the
     shard-scaling benchmark, the network-throughput benchmark and the
     ``loadgen`` CLI, so every layer is measured on the same stream.
 
@@ -232,11 +259,10 @@ def table09_probe_stream(
     """
     from repro.graph import power_law
 
-    graph = power_law(num_vertices, num_edges,
-                      triangle_fraction=triangle_fraction, seed=seed)
+    graph = power_law(2000, 12_000, triangle_fraction=0.4, seed=seed)
     order = sorted(range(graph.num_vertices), key=graph.degree,
                    reverse=True)
-    budget = max(1, int(capacity * fill))
+    budget = max(1, int(capacity * FILL_BUDGET))
     stored, seen = [], set()
     for hub in order:
         for neighbor in graph.neighbors(hub):
@@ -262,17 +288,15 @@ def demo_cam(
     entries_per_shard: int = 512,
     shards: int = 4,
     block_size: int = 64,
-    data_width: int = 32,
     engine: str = "batch",
     policy: str = "hash",
     replicas: int = 1,
     poison_shard: Optional[int] = None,
     poison_after: int = 50,
     fault_mode: Optional[str] = None,
-    fail_ops: int = 25,
-    **session_kwargs,
 ) -> ShardedCam:
-    """Build the demo service's backing :class:`ShardedCam`.
+    """Build the demo service's backing :class:`ShardedCam` of 32-bit
+    binary entries.
 
     ``poison_shard`` wraps that shard in a :class:`FaultyBackend` that
     blows up after ``poison_after`` operations -- the failure-isolation
@@ -285,144 +309,29 @@ def demo_cam(
     config = unit_for_entries(
         entries_per_shard,
         block_size=min(block_size, entries_per_shard),
-        data_width=data_width,
+        data_width=32,
         bus_width=512,
         cam_type=CamType.BINARY,
         default_groups=1,
     )
     if fault_mode is None:
         fault_mode = "wedge" if replicas == 1 else "crash"
-    factory = None
-    replica_factory = None
+    factories = {}
     if poison_shard is not None:
         from repro.core.batch import open_session
 
+        def make(shard: int, replica: int, cfg: UnitConfig):
+            suffix = f".r{replica}" if replicas > 1 else ""
+            session = open_session(cfg, engine=engine,
+                                   name=f"svc.shard{shard}{suffix}")
+            if shard == poison_shard and replica == 0:
+                return FaultyBackend(session, poison_after, mode=fault_mode)
+            return session
+
         if replicas > 1:
-            def replica_factory(shard: int, replica: int, cfg: UnitConfig):
-                session = open_session(
-                    cfg, engine=engine,
-                    name=f"svc.shard{shard}.r{replica}",
-                    **session_kwargs,
-                )
-                if shard == poison_shard and replica == 0:
-                    return FaultyBackend(session, poison_after,
-                                         mode=fault_mode,
-                                         fail_ops=fail_ops)
-                return session
+            factories["replica_factory"] = make
         else:
-            def factory(index: int, cfg: UnitConfig):
-                session = open_session(cfg, engine=engine,
-                                       name=f"svc.shard{index}",
-                                       **session_kwargs)
-                if index == poison_shard:
-                    return FaultyBackend(session, poison_after,
-                                         mode=fault_mode,
-                                         fail_ops=fail_ops)
-                return session
-
+            factories["session_factory"] = (
+                lambda shard, cfg: make(shard, 0, cfg))
     return ShardedCam(config, shards=shards, policy=policy, engine=engine,
-                      name="svc", replicas=replicas,
-                      session_factory=factory,
-                      replica_factory=replica_factory, **session_kwargs)
-
-
-async def drive_service(service: CamService,
-                        spec: WorkloadSpec) -> WorkloadReport:
-    """Run the synthetic workload against a started service."""
-    cam = service.cam
-    width = cam.config.data_width
-    key_space = min(1 << width, 1 << 20)
-    hot_keys = max(1, int(key_space * 0.001))
-    capacity_budget = int(cam.capacity * 0.6)
-    report = WorkloadReport(shards=cam.num_shards)
-    stored_words = 0
-    lock = asyncio.Lock()
-
-    def account(response: ServiceResponse) -> None:
-        report.latencies_s.append(response.latency_s)
-        if response.status == "ok":
-            report.ok += 1
-        elif response.status == "timeout":
-            report.timeouts += 1
-        elif response.status == "shard_failed":
-            report.shard_failures += 1
-        else:
-            report.client_errors += 1
-
-    async def client(client_id: int, operations: int) -> None:
-        nonlocal stored_words
-        rng = np.random.default_rng(spec.seed * 7919 + client_id)
-
-        def draw_key() -> int:
-            if rng.random() < spec.hot_fraction:
-                return int(rng.integers(0, hot_keys))
-            return int(rng.integers(0, key_space))
-
-        for _ in range(operations):
-            roll = rng.random()
-            if roll < spec.lookup_fraction or stored_words >= capacity_budget:
-                response = await service.lookup(draw_key())
-                report.lookups += 1
-                if response.ok and response.result.hit:
-                    report.hits += 1
-            elif roll < spec.lookup_fraction + spec.delete_fraction:
-                response = await service.delete(draw_key())
-                report.deletes += 1
-            else:
-                count = int(rng.integers(1, spec.insert_batch_max + 1))
-                words = [draw_key() for _ in range(count)]
-                async with lock:
-                    stored_words += count
-                response = await service.insert(words)
-                report.inserts += 1
-                if response.ok:
-                    report.words_stored += response.stats.words
-            account(response)
-            report.requests += 1
-
-    per_client = max(1, spec.requests // spec.clients)
-    started = time.perf_counter()
-    await asyncio.gather(*[
-        client(index, per_client) for index in range(spec.clients)
-    ])
-    report.wall_s = time.perf_counter() - started
-    report.poisoned_shards = list(cam.poisoned_shards)
-    report.max_queue_depth = service.stats.max_queue_depth
-    report.mean_batch_occupancy = service.stats.mean_batch_occupancy
-    report.simulated_cycles = cam.cycle
-    report.replicas = getattr(cam, "num_replicas", 1)
-    report.repairs_completed = service.stats.repairs_completed
-    report.repairs_failed = service.stats.repairs_failed
-    report.failed_replicas = {
-        shard: list(failed)
-        for shard, session in enumerate(cam.sessions)
-        if (failed := getattr(session, "failed_replicas", ()))
-    }
-    return report
-
-
-def run_demo_workload(
-    cam: ShardedCam,
-    spec: Optional[WorkloadSpec] = None,
-    *,
-    max_batch: int = 64,
-    max_delay_s: float = 0.002,
-    queue_depth: int = 1024,
-    request_timeout_s: float = 5.0,
-    auto_repair: bool = False,
-) -> WorkloadReport:
-    """Blocking entry point: start a service, drive it, report."""
-    spec = spec or WorkloadSpec()
-
-    async def _run() -> WorkloadReport:
-        async with CamService(
-            cam,
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
-            queue_depth=queue_depth,
-            request_timeout_s=request_timeout_s,
-            auto_repair=auto_repair,
-        ) as service:
-            return await drive_service(service, spec)
-
-    return asyncio.run(_run())
+                      name="svc", replicas=replicas, **factories)

@@ -1,58 +1,40 @@
-"""Load generator: spec validation, both loop modes, manifests."""
+"""The load driver's arguments, and ``loadgen`` driving it over the wire
+against a ``repro serve`` process."""
 
 import asyncio
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import obs
-from repro.core import unit_for_entries
+from repro.cli import main
 from repro.errors import ConfigError
-from repro.net import (
-    CamClient,
-    CamServer,
-    LoadgenSpec,
-    run_loadgen,
-    table09_probe_stream,
-)
-from repro.service import CamService, ShardedCam
+from repro.service import drive
+from repro.service.workload import probe_requests, table09_probe_stream
 
-
-def make_cam():
-    config = unit_for_entries(128, block_size=16, data_width=24,
-                              bus_width=96)
-    return ShardedCam(config, shards=2, engine="batch")
-
-
-def run_spec(spec, **loadgen_kwargs):
-    async def scenario():
-        service = CamService(make_cam(), max_delay_s=0.001, max_batch=64)
-        await service.start()
-        server = CamServer(service, port=0)
-        await server.start()
-        try:
-            host, port = server.address
-            async with CamClient(host, port, pool_size=spec.pool_size,
-                                 pipelined=spec.pipelined,
-                                 backoff_s=0.005) as client:
-                return await run_loadgen(client, spec, **loadgen_kwargs)
-        finally:
-            await server.stop()
-            await service.stop()
-
-    return asyncio.run(scenario())
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"mode": "bursty"},
-    {"requests": 0},
+    {"count": 0},
+    {"keys_per_request": 0},
     {"concurrency": 0},
-    {"mode": "open", "rate": 0},
-    {"batch": 0},
-    {"kill_after": -1},
+    {"rate": 0.0},
+    {"rate": -5.0},
+    {"after": (-1, print)},
+    {"requests": [("lookup", [1]), ("scan", [1])]},
 ])
 def test_spec_validation(kwargs):
-    with pytest.raises(ConfigError):
-        LoadgenSpec(**kwargs)
+    count = kwargs.pop("count", 4)
+    keys_per_request = kwargs.pop("keys_per_request", 1)
+    kwargs.setdefault("concurrency", 2)
+    with pytest.raises(ConfigError):  # before anything is sent
+        requests = kwargs.pop("requests", None) or probe_requests(
+            range(8), count, keys_per_request)
+        asyncio.run(drive(None, requests, **kwargs))
 
 
 def test_table09_probe_stream_is_deterministic():
@@ -65,79 +47,77 @@ def test_table09_probe_stream_is_deterministic():
     assert stored_c != stored_a
 
 
-def test_closed_loop_run():
-    spec = LoadgenSpec(mode="closed", requests=40, concurrency=4)
-    report = run_spec(spec)
-    assert report.requests == 40
-    assert report.errors == 0
-    assert report.ok == 40
-    assert report.stored_words > 0  # seeded an empty server
-    assert report.keys_probed == 40
-    assert 0 < report.hits <= report.keys_probed
-    assert report.wall_s > 0 and report.achieved_rps > 0
-    assert len(report.latencies_s) == 40
-
-
-def test_open_loop_run_records_offered_rate():
-    spec = LoadgenSpec(mode="open", requests=30, concurrency=8,
-                       rate=5000.0, batch=2)
-    report = run_spec(spec)
-    assert report.requests == 30
-    assert report.keys_probed == 60
-    assert report.errors == 0
-    assert report.offered_rps == 5000.0
-
-
-def test_kill_after_recovers_with_zero_errors():
-    spec = LoadgenSpec(mode="closed", requests=60, concurrency=4,
-                       kill_after=20)
-    report = run_spec(spec)
-    assert report.kills == 1
-    assert report.errors == 0, "retries must absorb the kill"
-    assert report.requests == 60
-
-
-def test_seed_phase_skipped_when_server_populated():
-    stored, probes = table09_probe_stream(128, seed=3)
-
-    async def scenario():
-        service = CamService(make_cam(), max_delay_s=0.001)
-        await service.start()
-        server = CamServer(service, port=0)
-        await server.start()
-        try:
-            host, port = server.address
-            async with CamClient(host, port) as client:
-                spec = LoadgenSpec(requests=10, concurrency=2)
-                first = await run_loadgen(client, spec, stored=stored,
-                                          probes=probes)
-                second = await run_loadgen(client, spec, stored=stored,
-                                           probes=probes)
-                return first, second
-        finally:
-            await server.stop()
-            await service.stop()
-
-    first, second = asyncio.run(scenario())
-    assert first.stored_words > 0
-    assert second.stored_words == 0  # occupancy non-zero: no re-seed
-    assert first.hits == second.hits  # same probes, same content
-
-
-def test_manifest_is_schema_valid():
-    obs.reset()
-    obs.enable(tracing=False)
+@pytest.fixture
+def server_port():
+    """A ``repro serve`` process on an ephemeral loopback port."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--shards", "2", "--max-seconds", "60"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
     try:
-        spec = LoadgenSpec(requests=12, concurrency=2, kill_after=4)
-        report = run_spec(spec)
-        manifest = report.manifest(spec)
-        obs.validate_manifest(manifest)
-        assert manifest["name"] == "net_loadgen"
-        assert manifest["config"]["kill_after"] == 4
-        assert manifest["extra"]["kills"] == 1
-        assert manifest["extra"]["errors"] == 0
-        assert manifest["extra"]["achieved_rps"] > 0
-        assert "latency_p99_ms" in manifest["extra"]
+        banner = server.stdout.readline()
+        assert "serving" in banner, banner
+        yield int(banner.rsplit(":", 1)[1])
     finally:
-        obs.disable()
-        obs.reset()
+        server.terminate()
+        out, _ = server.communicate(timeout=30)
+    assert "draining" in out and server.returncode == 0
+
+
+def loadgen(port, path, *argv):
+    assert main(["loadgen", "--port", str(port), "--manifest-out",
+                 str(path), *argv]) == 0
+    return obs.load_manifest(str(path))
+
+
+def test_manifest_is_schema_valid(server_port, tmp_path):
+    manifest = loadgen(server_port, tmp_path / "net.json", "--requests",
+                       "300", "--concurrency", "8", "--kill-after", "100")
+    assert manifest["name"] == "net_loadgen"
+    assert manifest["config"]["kill_after"] == 100
+    extra = manifest["extra"]
+    # the keys and meanings the CI net-smoke job asserts on
+    assert extra["kills"] == 1
+    assert extra["errors"] == 0
+    assert extra["retries"] >= 0
+    assert extra["achieved_rps"] > 0
+    assert extra["requests"] == extra["ok"] == 300
+    assert "latency_p99_ms" in extra
+
+
+def test_closed_loop_run(server_port, tmp_path):
+    extra = loadgen(server_port, tmp_path / "closed.json", "--requests",
+                    "40", "--concurrency", "4")["extra"]
+    assert extra["requests"] == extra["ok"] == extra["latency_samples"] == 40
+    assert extra["rejected"] == extra["errors"] == 0
+    assert 0 < extra["hits"] <= extra["keys"] == 40
+    assert extra["achieved_rps"] > 0 and extra["offered_rps"] is None
+
+
+def test_open_loop_run_records_offered_rate(server_port, tmp_path):
+    extra = loadgen(server_port, tmp_path / "open.json", "--mode", "open",
+                    "--rate", "5000", "--requests", "30", "--batch", "2",
+                    "--naive", "--pool", "2")["extra"]
+    assert extra["requests"] == extra["ok"] == 30
+    assert extra["keys"] == 60
+    assert extra["offered_rps"] == 5000.0
+
+
+def test_kill_after_recovers_with_zero_errors(server_port, tmp_path):
+    extra = loadgen(server_port, tmp_path / "kill.json", "--mode", "open",
+                    "--rate", "2000", "--requests", "60", "--kill-after",
+                    "20")["extra"]
+    assert extra["kills"] == 1
+    assert extra["errors"] == 0, "retries must absorb the kill"
+    assert extra["requests"] == extra["ok"] == 60
+
+
+def test_seed_phase_skipped_when_server_populated(server_port, tmp_path):
+    first = loadgen(server_port, tmp_path / "a.json", "--requests", "50")
+    second = loadgen(server_port, tmp_path / "b.json", "--requests", "50")
+    assert first["extra"]["stored_words"] > 0
+    assert second["extra"]["stored_words"] == 0  # occupied: no re-seed
+    assert first["extra"]["hits"] == second["extra"]["hits"] > 0

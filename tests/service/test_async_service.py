@@ -11,14 +11,9 @@ import pytest
 from repro.core import unit_for_entries
 from repro.core.batch import open_session
 from repro.errors import ConfigError, ServiceError, ServiceOverloadError
-from repro.service import (
-    CamService,
-    FaultyBackend,
-    ShardedCam,
-    WorkloadSpec,
-    demo_cam,
-    drive_service,
-)
+from repro.service import CamService, ShardedCam, demo_cam, drive
+from repro.service.workload import mixed_requests
+from repro.testing import FaultyBackend
 
 WIDTH = 16
 
@@ -290,22 +285,25 @@ def test_broadcast_lookup_survives_one_poisoned_shard():
 # ----------------------------------------------------------------------
 # workload driver (the serve-demo/CI entry point)
 # ----------------------------------------------------------------------
+def mix(cam, count, seed):
+    return mixed_requests(count, capacity=cam.capacity,
+                          data_width=cam.config.data_width, seed=seed)
+
+
 def test_workload_driver_reports_clean_run():
     async def scenario():
         cam = demo_cam(entries_per_shard=128, shards=4, block_size=32)
         async with CamService(cam, max_batch=32,
                               request_timeout_s=5.0) as service:
-            report = await drive_service(
-                service, WorkloadSpec(requests=200, clients=4, seed=7)
-            )
+            report = await drive(service, mix(cam, 200, 7), concurrency=4)
         assert report.requests == 200
         assert report.ok == 200
         assert report.timeouts == report.shard_failures == 0
         assert report.lookups + report.inserts + report.deletes == 200
-        assert report.simulated_cycles > 0
+        assert cam.cycle > 0
         assert len(report.latencies_s) == 200
         text = report.render()
-        assert "requests" in text and "shards" in text
+        assert "requests" in text and "latency" in text
 
     run(scenario())
 
@@ -315,10 +313,8 @@ def test_workload_driver_with_poisoned_shard():
         cam = demo_cam(entries_per_shard=128, shards=4, block_size=32,
                        poison_shard=2, poison_after=3)
         async with CamService(cam, request_timeout_s=5.0) as service:
-            report = await drive_service(
-                service, WorkloadSpec(requests=200, clients=2, seed=11)
-            )
-        assert report.poisoned_shards == [2]
+            report = await drive(service, mix(cam, 200, 11), concurrency=2)
+        assert cam.poisoned_shards == (2,)
         assert report.shard_failures > 0
         assert report.ok > 0  # healthy shards kept serving
 

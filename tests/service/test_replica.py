@@ -27,15 +27,9 @@ from repro.errors import (
     ServiceError,
     SimulationError,
 )
-from repro.service import (
-    CamService,
-    FaultyBackend,
-    ReplicaSet,
-    ShardedCam,
-    WorkloadSpec,
-    demo_cam,
-    run_demo_workload,
-)
+from repro.service import CamService, ReplicaSet, ShardedCam, demo_cam, drive
+from repro.service.workload import mixed_requests
+from repro.testing import FaultyBackend
 
 WIDTH = 12
 KEYSPACE = 64
@@ -291,13 +285,19 @@ def test_service_repair_shard_reinstates_replicas():
 def test_auto_repair_workload_has_zero_failures():
     cam = demo_cam(entries_per_shard=64, shards=4, replicas=2,
                    poison_shard=1)  # default fault mode: crash
-    report = run_demo_workload(
-        cam, WorkloadSpec(requests=300, clients=4, seed=7),
-        max_delay_s=0.001, auto_repair=True)
+    requests = mixed_requests(300, capacity=cam.capacity,
+                              data_width=cam.config.data_width, seed=7)
+
+    async def run():
+        async with CamService(cam, max_delay_s=0.001, request_timeout_s=5.0,
+                              auto_repair=True) as service:
+            return await drive(service, requests, concurrency=4), service
+
+    report, service = asyncio.run(run())
     assert report.ok == 300
     assert report.shard_failures == 0
-    assert report.replicas == 2
-    assert report.repairs_completed >= 1
+    assert cam.num_replicas == 2
+    assert service.stats.repairs_completed >= 1
 
 
 def test_replica_set_rejects_mismatched_members():

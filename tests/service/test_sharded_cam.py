@@ -11,7 +11,8 @@ from repro.errors import (
     ShardFailedError,
     SimulationError,
 )
-from repro.service import FaultyBackend, ShardedCam, merge_results
+from repro.service import ShardedCam, merge_results
+from repro.testing import FaultyBackend
 
 WIDTH = 16
 

@@ -1,6 +1,10 @@
-"""Tests for the sweep/vcd CLI extensions."""
+"""Tests for the CLI commands past the basics: sweep, vcd, snapshot and
+restore, and serve-demo."""
 
-from repro.cli import main
+import pytest
+
+from repro import obs
+from repro.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -85,3 +89,29 @@ def test_vcd_command(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith("$date")
     assert "$enddefinitions $end" in text
+
+
+@pytest.mark.parametrize("command,delay_ms", [("serve-demo", 2.0),
+                                              ("serve", 1.0)])
+def test_service_commands_keep_their_defaults(command, delay_ms):
+    args = _build_parser().parse_args([command])
+    assert args.max_delay_ms == delay_ms
+    assert (args.shards, args.engine, args.timeout_ms) == (4, "batch", 5000.0)
+
+
+@pytest.mark.parametrize("poison", [[], ["--poison-shard", "2"]])
+def test_serve_demo_manifest(tmp_path, capsys, poison):
+    path = tmp_path / "serve.json"
+    code, out = run(capsys, "serve-demo", "--requests", "400",
+                    "--manifest-out", str(path), *poison)
+    assert code == 0
+    extra = obs.load_manifest(str(path))["extra"]
+    assert extra["requests"] == extra["ok"] + extra["shard_failures"] == 400
+    assert extra["rejected"] == extra["timeouts"] == 0
+    assert extra["simulated_cycles"] > 0
+    if poison:  # the other shards keep serving
+        assert "poisoned_shards" in out
+        assert extra["poisoned_shards"] == [2]
+        assert extra["shard_failures"] > 0 and extra["ok"] > 0
+    else:
+        assert extra["poisoned_shards"] == [] and extra["ok"] == 400
