@@ -16,11 +16,21 @@ granularity:
 Clock enables (``ce_a`` etc.) gate each register chain, exactly like the
 silicon CE pins; the CAM cell uses ``ce_a/ce_b`` as its *update* strobe
 so a stored word is held until explicitly rewritten.
+
+A CAM holds hundreds of slices that mostly sit still, so compute is
+event-driven. Each compute schedules only the registers whose value
+changes. A compute that schedules nothing leaves the slice at a fixed
+point. Its next state is a function of its ports and its registers, so
+while the ports (clock enables included) keep the values that compute
+saw, every later compute would schedule nothing as well. It returns at
+once, after emitting the trace samples it emitted last time, so a trace
+is the same with or without the skip.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+from typing import List, NamedTuple, Optional
 
 from repro.errors import ConfigError
 from repro.dsp.attributes import Dsp48Attributes
@@ -42,13 +52,60 @@ from repro.dsp.primitives import (
     DSP_WIDTH,
     concat_ab,
     mask_for,
-    masked_equal,
     truncate,
 )
 from repro.sim.component import Component
 
 #: The multiplier consumes A[26:0] (27 bits) and B[17:0] (18 bits).
 MULT_A_WIDTH = 27
+
+_A_MASK = mask_for(A_WIDTH)
+_B_MASK = mask_for(B_WIDTH)
+_MULT_A_MASK = mask_for(MULT_A_WIDTH)
+
+
+class _Alu(NamedTuple):
+    """One validated OPMODE/ALUMODE pair, as the ALU datapath uses it."""
+
+    x: XMux
+    y: YMux
+    z: ZMux
+    w: WMux
+    mode: AluMode
+    #: The X-op-Z logic function name, or ``None`` in arithmetic mode.
+    logic: Optional[str]
+
+
+@functools.lru_cache(maxsize=512)
+def _decode_alu(opmode: int, alumode: int) -> _Alu:
+    """Decode and validate OPMODE/ALUMODE (UG579 tables 2-4 to 2-8).
+
+    Pure, so cached: a slice pays for the decode once per distinct
+    pair, not per cycle. Invalid pairs raise :class:`ConfigError` on
+    every call, since exceptions are not cached.
+    """
+    x_sel, y_sel, z_sel, w_sel = unpack_opmode(opmode)
+    try:
+        mode = AluMode(alumode)
+    except ValueError:
+        raise ConfigError(f"unsupported ALUMODE {alumode:#06b}")
+    logic = None
+    if is_logic_mode(mode):
+        if (x_sel, y_sel) == (XMux.M, YMux.M):
+            raise ConfigError(
+                "logic-unit mode cannot select the multiplier on X and Y"
+            )
+        logic = logic_function(mode, y_sel)
+    return _Alu(x_sel, y_sel, z_sel, w_sel, mode, logic)
+
+
+def _clock_chain(updates: dict, name: str, pipe: List[int], value: int,
+                 enable: bool) -> None:
+    """Schedule a register chain's next state if the edge changes it."""
+    if pipe and enable:
+        shifted = [value] + pipe[:-1]
+        if shifted != pipe:
+            updates[name] = shifted
 
 
 class DSP48E2(Component):
@@ -103,182 +160,188 @@ class DSP48E2(Component):
         self.carryout = 0
         self.patterndetect = False
         self.patternbdetect = False
-        # ALU memo (see compute()).
-        self._alu_key = None
-        self._alu_result = (0, 0, False, False)
-
-    # ------------------------------------------------------------------
-    # register-chain helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _chain_output(pipe: List[int], port_value: int) -> int:
-        """Value presented to downstream logic by a register chain."""
-        return pipe[-1] if pipe else port_value
-
-    @staticmethod
-    def _shifted(pipe: List[int], port_value: int, enable: bool) -> List[int]:
-        """Next state of a register chain after one clock edge."""
-        if not pipe:
-            return pipe
-        if not enable:
-            return list(pipe)
-        return [port_value] + pipe[:-1]
+        # Pattern detector operands.
+        self._care = ~attrs.mask & ALL_ONES
+        self._pattern_b = ~attrs.pattern & ALL_ONES
+        # Fixed point (see the module docstring): the ports the last
+        # compute saw when it scheduled nothing, else None, and the
+        # trace samples it emitted.
+        self._held_ports = None
+        self._held_samples = (0, False)
 
     # ------------------------------------------------------------------
     def compute(self) -> None:
-        attrs = self.attributes
-        a_port = truncate(self.a, A_WIDTH)
-        b_port = truncate(self.b, B_WIDTH)
-        c_port = truncate(self.c, DSP_WIDTH)
+        ports = (
+            self.a, self.b, self.c, self.d, self.pcin, self.carry_in,
+            self.opmode, self.alumode, self.ce_a, self.ce_b, self.ce_c,
+            self.ce_d, self.ce_m, self.ce_p,
+        )
+        if ports == self._held_ports:
+            if self._tracer is not None:
+                alu_out, pd = self._held_samples
+                self.emit(p=alu_out, patterndetect=pd)
+            return
 
-        a_reg = self._chain_output(self._a_pipe, a_port)
-        b_reg = self._chain_output(self._b_pipe, b_port)
-        c_reg = self._chain_output(self._c_pipe, c_port)
+        attrs = self.attributes
+        a_port = self.a & _A_MASK
+        b_port = self.b & _B_MASK
+        c_port = self.c & ALL_ONES
+        a_pipe = self._a_pipe
+        b_pipe = self._b_pipe
+        c_pipe = self._c_pipe
+        a_reg = a_pipe[-1] if a_pipe else a_port
+        b_reg = b_pipe[-1] if b_pipe else b_port
+        c_reg = c_pipe[-1] if c_pipe else c_port
 
         # Pre-adder path (D + A, 27-bit wrap) feeding the multiplier
         # when AMULTSEL = "AD".
-        d_port = truncate(self.d, MULT_A_WIDTH)
-        d_reg = self._chain_output(self._d_pipe, d_port)
-        ad_sum = truncate(d_reg + truncate(a_reg, MULT_A_WIDTH), MULT_A_WIDTH)
-        ad_reg = self._chain_output(self._ad_pipe, ad_sum)
+        d_port = self.d & _MULT_A_MASK
+        d_pipe = self._d_pipe
+        ad_pipe = self._ad_pipe
+        d_reg = d_pipe[-1] if d_pipe else d_port
+        ad_sum = (d_reg + (a_reg & _MULT_A_MASK)) & _MULT_A_MASK
+
+        updates: dict = {}
+        _clock_chain(updates, "_a_pipe", a_pipe, a_port, self.ce_a)
+        _clock_chain(updates, "_b_pipe", b_pipe, b_port, self.ce_b)
+        _clock_chain(updates, "_c_pipe", c_pipe, c_port, self.ce_c)
+        _clock_chain(updates, "_d_pipe", d_pipe, d_port, self.ce_d)
+        _clock_chain(updates, "_ad_pipe", ad_pipe, ad_sum, True)
 
         # Multiplier path (27x18, unsigned model).
         if attrs.use_mult:
-            mult_a = ad_reg if attrs.use_preadder else truncate(a_reg, MULT_A_WIDTH)
-            product = mult_a * b_reg
-            m_value = self._chain_output(self._m_pipe, truncate(product, DSP_WIDTH))
+            if attrs.use_preadder:
+                mult_a = ad_pipe[-1] if ad_pipe else ad_sum
+            else:
+                mult_a = a_reg & _MULT_A_MASK
+            product = (mult_a * b_reg) & ALL_ONES
+            m_pipe = self._m_pipe
+            m_value = m_pipe[-1] if m_pipe else product
+            _clock_chain(updates, "_m_pipe", m_pipe, product, self.ce_m)
         else:
-            product = 0
             m_value = 0
 
-        # The ALU is a pure function of its sampled inputs; memoise the
-        # last evaluation so quiescent cycles (no port changes) skip the
-        # mux decode entirely -- a large win for big CAM simulations.
-        alu_key = (
-            a_reg, b_reg, c_reg, m_value, self.p,
-            self.opmode, self.alumode, self.carry_in, self.pcin,
-        )
-        if alu_key == self._alu_key:
-            alu_out, carry, pd, pbd = self._alu_result
+        alu = _decode_alu(self.opmode, self.alumode)
+        alu_out, carry = self._evaluate_alu(alu, a_reg, b_reg, c_reg, m_value)
+        if attrs.use_pattern_detect:
+            care = self._care
+            pd = ((alu_out ^ attrs.pattern) & care) == 0
+            pbd = ((alu_out ^ self._pattern_b) & care) == 0
         else:
-            alu_out, carry, pd, pbd = self._evaluate_alu(
-                a_reg=a_reg, b_reg=b_reg, c_reg=c_reg, m_value=m_value
-            )
-            self._alu_key = alu_key
-            self._alu_result = (alu_out, carry, pd, pbd)
+            pd = False
+            pbd = False
 
-        updates = {
-            "_a_pipe": self._shifted(self._a_pipe, a_port, self.ce_a),
-            "_b_pipe": self._shifted(self._b_pipe, b_port, self.ce_b),
-            "_c_pipe": self._shifted(self._c_pipe, c_port, self.ce_c),
-            "_d_pipe": self._shifted(self._d_pipe, d_port, self.ce_d),
-            "_ad_pipe": self._shifted(self._ad_pipe, ad_sum, True),
-        }
-        if attrs.use_mult:
-            updates["_m_pipe"] = self._shifted(
-                self._m_pipe, truncate(product, DSP_WIDTH), self.ce_m
-            )
         if attrs.preg:
             if self.ce_p:
-                updates.update(
-                    p=alu_out,
-                    pcout=alu_out,
-                    carryout=carry,
-                    patterndetect=pd,
-                    patternbdetect=pbd,
-                )
-            self.schedule(**updates)
+                if alu_out != self.p:
+                    updates["p"] = alu_out
+                if alu_out != self.pcout:
+                    updates["pcout"] = alu_out
+                if carry != self.carryout:
+                    updates["carryout"] = carry
+                if pd != self.patterndetect:
+                    updates["patterndetect"] = pd
+                if pbd != self.patternbdetect:
+                    updates["patternbdetect"] = pbd
+            changed = bool(updates)
         else:
             # Combinational P output: visible within the same cycle.
-            self.schedule(**updates)
+            changed = bool(updates) or (
+                (alu_out, alu_out, carry, pd, pbd)
+                != (self.p, self.pcout, self.carryout, self.patterndetect,
+                    self.patternbdetect)
+            )
             self.p = alu_out
             self.pcout = alu_out
             self.carryout = carry
             self.patterndetect = pd
             self.patternbdetect = pbd
-        self.emit(p=alu_out, patterndetect=pd)
+        if updates:
+            self.schedule(**updates)
+        if changed:
+            self._held_ports = None
+        else:
+            self._held_ports = ports
+            self._held_samples = (alu_out, pd)
+        if self._tracer is not None:
+            self.emit(p=alu_out, patterndetect=pd)
 
     # ------------------------------------------------------------------
-    def _evaluate_alu(self, a_reg: int, b_reg: int, c_reg: int, m_value: int):
-        """Decode OPMODE/ALUMODE and produce (P, carry, PD, PBD)."""
-        attrs = self.attributes
-        x_sel, y_sel, z_sel, w_sel = unpack_opmode(self.opmode)
-        try:
-            alumode = AluMode(self.alumode)
-        except ValueError:
-            raise ConfigError(f"unsupported ALUMODE {self.alumode:#06b}")
+    def _evaluate_alu(self, alu: _Alu, a_reg: int, b_reg: int, c_reg: int,
+                      m_value: int):
+        """(P, carry) of the decoded ALU; builds only the selected mux
+        inputs."""
+        x_sel = alu.x
+        if x_sel == XMux.AB:
+            x = (a_reg << B_WIDTH) | b_reg
+        elif x_sel == XMux.ZERO:
+            x = 0
+        elif x_sel == XMux.M:
+            x = m_value
+        else:
+            x = self.p
+        z_sel = alu.z
+        if z_sel == ZMux.C:
+            z = c_reg
+        elif z_sel == ZMux.ZERO:
+            z = 0
+        elif z_sel == ZMux.P or z_sel == ZMux.P_MACC:
+            z = self.p
+        elif z_sel == ZMux.PCIN:
+            z = self.pcin & ALL_ONES
+        elif z_sel == ZMux.PCIN_SHIFT17:
+            z = (self.pcin & ALL_ONES) >> 17
+        else:
+            z = self.p >> 17
+        if alu.logic is not None:
+            return apply_logic(alu.logic, x, z), 0
 
-        ab = concat_ab(a_reg, b_reg)
-        x = {
-            XMux.ZERO: 0,
-            XMux.M: m_value,
-            XMux.P: self.p,
-            XMux.AB: ab,
-        }[x_sel]
-        y = {
-            YMux.ZERO: 0,
-            YMux.M: m_value,
-            YMux.ALL_ONES: ALL_ONES,
-            YMux.C: c_reg,
-        }[y_sel]
-        z = {
-            ZMux.ZERO: 0,
-            ZMux.PCIN: truncate(self.pcin, DSP_WIDTH),
-            ZMux.P: self.p,
-            ZMux.C: c_reg,
-            ZMux.P_MACC: self.p,
-            ZMux.PCIN_SHIFT17: truncate(self.pcin, DSP_WIDTH) >> 17,
-            ZMux.P_SHIFT17: self.p >> 17,
-        }[z_sel]
-        w = {
-            WMux.ZERO: 0,
-            WMux.P: self.p,
-            WMux.RND: attrs.rnd,
-            WMux.C: c_reg,
-        }[w_sel]
+        y_sel = alu.y
+        if y_sel == YMux.ZERO:
+            y = 0
+        elif y_sel == YMux.M:
+            y = m_value
+        elif y_sel == YMux.ALL_ONES:
+            y = ALL_ONES
+        else:
+            y = c_reg
+        w_sel = alu.w
+        if w_sel == WMux.ZERO:
+            w = 0
+        elif w_sel == WMux.P:
+            w = self.p
+        elif w_sel == WMux.RND:
+            w = self.attributes.rnd
+        else:
+            w = c_reg
 
-        carry = 0
-        if is_logic_mode(alumode):
-            if (x_sel, y_sel) == (XMux.M, YMux.M):
-                raise ConfigError(
-                    "logic-unit mode cannot select the multiplier on X and Y"
-                )
-            function = logic_function(alumode, y_sel)
-            alu_out = apply_logic(function, x, z)
-        elif attrs.simd == "ONE48":
-            operand = w + x + y + self.carry_in
-            total = self._arith(alumode, z, operand)
+        simd = self.attributes.simd
+        if simd == "ONE48":
+            total = self._arith(alu.mode, z, w + x + y + self.carry_in)
             carry = (total >> DSP_WIDTH) & 1 if total >= 0 else 0
-            alu_out = total & mask_for(DSP_WIDTH)
-        else:
-            # SIMD: independent lanes with no cross-lane carries. The
-            # carry-in only reaches lane 0 (UG579: CARRYIN per segment
-            # is tied to the single CARRYIN for simple adds).
-            lanes = 2 if attrs.simd == "TWO24" else 4
-            lane_width = DSP_WIDTH // lanes
-            lane_mask = mask_for(lane_width)
-            alu_out = 0
-            for lane in range(lanes):
-                shift = lane * lane_width
-                z_lane = (z >> shift) & lane_mask
-                operand = (
-                    ((w >> shift) & lane_mask)
-                    + ((x >> shift) & lane_mask)
-                    + ((y >> shift) & lane_mask)
-                    + (self.carry_in if lane == 0 else 0)
-                )
-                total = self._arith(alumode, z_lane, operand)
-                if total >= 0 and (total >> lane_width) & 1:
-                    carry |= 1 << lane
-                alu_out |= (total & lane_mask) << shift
-
-        if attrs.use_pattern_detect:
-            pd = masked_equal(alu_out, attrs.pattern, attrs.mask)
-            pbd = masked_equal(alu_out, ~attrs.pattern & ALL_ONES, attrs.mask)
-        else:
-            pd = False
-            pbd = False
-        return alu_out, carry, pd, pbd
+            return total & ALL_ONES, carry
+        # SIMD: independent lanes with no cross-lane carries. The
+        # carry-in only reaches lane 0 (UG579: CARRYIN per segment is
+        # tied to the single CARRYIN for simple adds).
+        lanes = 2 if simd == "TWO24" else 4
+        lane_width = DSP_WIDTH // lanes
+        lane_mask = mask_for(lane_width)
+        alu_out = 0
+        carry = 0
+        for lane in range(lanes):
+            shift = lane * lane_width
+            z_lane = (z >> shift) & lane_mask
+            operand = (
+                ((w >> shift) & lane_mask)
+                + ((x >> shift) & lane_mask)
+                + ((y >> shift) & lane_mask)
+                + (self.carry_in if lane == 0 else 0)
+            )
+            total = self._arith(alu.mode, z_lane, operand)
+            if total >= 0 and (total >> lane_width) & 1:
+                carry |= 1 << lane
+            alu_out |= (total & lane_mask) << shift
+        return alu_out, carry
 
     @staticmethod
     def _arith(alumode: AluMode, z: int, operand: int) -> int:
@@ -297,11 +360,11 @@ class DSP48E2(Component):
     @property
     def stored_ab(self) -> int:
         """Current 48-bit A:B register contents (the CAM stored word)."""
-        a_reg = self._chain_output(self._a_pipe, truncate(self.a, A_WIDTH))
-        b_reg = self._chain_output(self._b_pipe, truncate(self.b, B_WIDTH))
+        a_reg = self._a_pipe[-1] if self._a_pipe else truncate(self.a, A_WIDTH)
+        b_reg = self._b_pipe[-1] if self._b_pipe else truncate(self.b, B_WIDTH)
         return concat_ab(a_reg, b_reg)
 
     @property
     def held_c(self) -> int:
         """Current C register contents (the last latched search key)."""
-        return self._chain_output(self._c_pipe, truncate(self.c, DSP_WIDTH))
+        return self._c_pipe[-1] if self._c_pipe else truncate(self.c, DSP_WIDTH)

@@ -154,6 +154,9 @@ class CamClient:
         self.retries = 0
         self.kills = 0
         self._pool: List[Optional[_Connection]] = [None] * pool_size
+        # One dial at a time per slot: requests that find a slot dead
+        # together (after kill_connections) share one new socket.
+        self._dial_locks = [asyncio.Lock() for _ in range(pool_size)]
         self._turn = itertools.count()
         self._serial = asyncio.Lock() if not pipelined else None
         self._closed = False
@@ -286,13 +289,19 @@ class CamClient:
         conn = self._pool[index]
         if conn is not None and not conn.closed:
             return conn
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        conn = _Connection(reader, writer, self.max_frame_size)
-        conn.task = asyncio.ensure_future(self._reader_loop(conn))
-        self._reader_tasks.add(conn.task)
-        conn.task.add_done_callback(self._reader_tasks.discard)
-        self._pool[index] = conn
-        return conn
+        async with self._dial_locks[index]:
+            # Another request may have dialled while this one waited.
+            conn = self._pool[index]
+            if conn is not None and not conn.closed:
+                return conn
+            reader, writer = await asyncio.open_connection(self.host,
+                                                           self.port)
+            conn = _Connection(reader, writer, self.max_frame_size)
+            conn.task = asyncio.ensure_future(self._reader_loop(conn))
+            self._reader_tasks.add(conn.task)
+            conn.task.add_done_callback(self._reader_tasks.discard)
+            self._pool[index] = conn
+            return conn
 
     async def _reader_loop(self, conn: _Connection) -> None:
         while True:

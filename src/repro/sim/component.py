@@ -8,7 +8,8 @@ two-phase evaluation, mirroring how registers behave in RTL:
    Nothing observable changes during this phase, so evaluation order
    between sibling components cannot create read-after-write races.
 2. *commit* phase -- all scheduled updates are applied atomically,
-   modelling the rising clock edge.
+   modelling the rising clock edge. Components that scheduled nothing
+   have nothing to commit and are passed over.
 
 A component's public attributes play the role of ports: a parent (or the
 testbench) assigns input attributes before a cycle, and reads output
@@ -38,6 +39,9 @@ class Component:
         self._pending: Dict[str, object] = {}
         self._children: List["Component"] = []
         self._tracer = None
+        #: Set once a Simulator has fixed this component's place in its
+        #: evaluation order; the subtree is frozen from then on.
+        self._simulated = False
 
     # ------------------------------------------------------------------
     # identity / hierarchy
@@ -56,8 +60,15 @@ class Component:
         """Register ``component`` as a child and return it.
 
         Children participate automatically in compute/commit/reset when
-        the parent is stepped by a :class:`repro.sim.Simulator`.
+        the parent is stepped by a :class:`repro.sim.Simulator`. The
+        simulator fixes its evaluation order when it is built, so a
+        component already under one takes no new children.
         """
+        if self._simulated:
+            raise SimulationError(
+                f"{self._name}: cannot add a child to a component that is "
+                "already under a Simulator; build the whole tree first"
+            )
         if not isinstance(component, Component):
             raise SimulationError(
                 f"{self._name}: child must be a Component, got "
@@ -94,7 +105,12 @@ class Component:
         """Combinational evaluation; override in subclasses."""
 
     def commit(self) -> None:
-        """Apply scheduled updates (the clock edge). Rarely overridden."""
+        """Apply scheduled updates (the clock edge).
+
+        A :class:`repro.sim.Simulator` calls this only on components
+        that scheduled something this cycle, so an override must not
+        rely on running every cycle.
+        """
         for key, value in self._pending.items():
             setattr(self, key, value)
         self._pending.clear()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.component import Component
@@ -13,9 +13,15 @@ class Simulator:
     """Drives one synchronous clock domain over a set of component trees.
 
     Each :meth:`step` performs one clock cycle: every component in every
-    registered tree runs its *compute* phase, then every component
-    *commits*. The current cycle number is available as :attr:`cycle`
-    and starts at 0 (no edges have happened yet).
+    registered tree runs its *compute* phase, then every component that
+    scheduled an update *commits*. The current cycle number is available
+    as :attr:`cycle` and starts at 0 (no edges have happened yet).
+
+    The evaluation order is fixed at construction: the depth-first
+    pre-order of each root in turn, so a parent always computes before
+    its children (the combinational parent-to-child port rule). The
+    trees are frozen from then on; ``add_child`` on any of their
+    components raises :class:`SimulationError`.
 
     Example
     -------
@@ -38,6 +44,7 @@ class Simulator:
         self._roots: List[Component] = list(components)
         self._cycle = 0
         self._trace = trace
+        order: List[Component] = []
         for root in self._roots:
             if not isinstance(root, Component):
                 raise SimulationError(
@@ -45,6 +52,10 @@ class Simulator:
                 )
             if trace is not None:
                 root.attach_tracer(trace)
+            order.extend(root.iter_tree())
+        for component in order:
+            component._simulated = True
+        self._components: Tuple[Component, ...] = tuple(order)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -69,14 +80,14 @@ class Simulator:
         """Advance the clock by ``cycles`` edges."""
         if cycles < 0:
             raise SimulationError(f"cannot step a negative cycle count ({cycles})")
+        components = self._components
         for _ in range(cycles):
             if self._trace is not None:
                 self._trace.begin_cycle(self._cycle)
-            for root in self._roots:
-                for component in root.iter_tree():
-                    component.compute()
-            for root in self._roots:
-                for component in root.iter_tree():
+            for component in components:
+                component.compute()
+            for component in components:
+                if component._pending:
                     component.commit()
             self._cycle += 1
 

@@ -295,6 +295,26 @@ def test_client_reconnects_after_kill():
     run(scenario())
 
 
+def test_requests_retrying_together_share_one_new_connection():
+    """A kill under 32 in-flight lookups on a pool of one costs exactly
+    one new connection: the retries wait for one dial, and no socket is
+    opened only to be dropped."""
+    async def scenario():
+        async with serving() as server:
+            host, port = server.address
+            async with CamClient(host, port, pool_size=1) as client:
+                await client.insert(list(range(1, 33)))
+                lookups = [asyncio.ensure_future(client.lookup(key))
+                           for key in range(1, 33)]
+                await asyncio.sleep(0)  # every lookup is on the wire
+                client.kill_connections()
+                responses = await asyncio.gather(*lookups)
+                assert all(r.ok and r.result.hit for r in responses)
+                assert client.retries >= 1
+            assert server.stats.connections_opened == 2
+    run(scenario())
+
+
 def test_mutations_exactly_once_across_kills():
     """Retried INSERT frames reuse their idempotency token, so a kill
     storm cannot duplicate (or lose) updates."""

@@ -92,3 +92,28 @@ def test_elapse_helper():
     sim = elapse([counter], 6)
     assert sim.cycle == 6
     assert counter.value == 6
+
+
+def test_add_child_after_simulator_raises():
+    """The evaluation order is fixed at construction, so a late child
+    would never be stepped; adding one fails loudly instead."""
+    parent = Counter("parent")
+    child = parent.add_child(Counter("child"))
+    sim = Simulator(parent)
+    for component in (parent, child):
+        with pytest.raises(SimulationError, match="already under a Simulator"):
+            component.add_child(Counter("late"))
+    sim.step(2)
+    assert parent.value == child.value == 2
+
+
+def test_step_commits_only_what_was_scheduled():
+    """A component that scheduled nothing is not committed."""
+    class Idle(Component):
+        def commit(self):
+            raise AssertionError("nothing was scheduled")
+
+    counter = Counter()
+    sim = Simulator(counter, Idle())
+    sim.step(3)
+    assert counter.value == 3
